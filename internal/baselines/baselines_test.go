@@ -9,6 +9,8 @@ import (
 
 	"lxr/internal/baselines"
 	"lxr/internal/core"
+	"lxr/internal/immix"
+	"lxr/internal/obj"
 	"lxr/internal/policy"
 	"lxr/internal/vm"
 )
@@ -363,5 +365,93 @@ func TestShenPacedTriggerUnderChurn(t *testing.T) {
 	}
 	if tr.Fired == 0 {
 		t.Fatal("sustained occupancy above the threshold never fired the free-fraction trigger")
+	}
+}
+
+// TestParallelForwardingRaceHighInDegree drives the copy claim race that
+// SemiSpace's scan-once rule rests on: only the worker whose claim
+// installs the forwarding scans the copy. Eight GC threads copy a graph
+// in which thousands of roots and slots point at 64 shared hubs, which
+// also form a cycle; the hubs' 512 B payloads widen the window in which
+// a racer finds a claim still busy. After every collection each object must
+// have exactly one to-space copy, every edge must point into to-space,
+// every copy must start unforwarded, and every payload must be intact.
+func TestParallelForwardingRaceHighInDegree(t *testing.T) {
+	const (
+		hubs, spokes, aliases = 64, 2000, 4000
+		refs, payloadWords    = 4, 64
+		collections           = 50
+	)
+	p := baselines.NewParallel(16<<20, 8)
+	v := vm.New(p, 0)
+	defer v.Shutdown()
+	m := v.RegisterMutator(hubs + spokes + aliases)
+	defer m.Deregister()
+	// Objects are created through root slots only (an allocation is a
+	// safepoint). Payload word k of object id holds id<<8|k.
+	newObj := func(root, id int) {
+		m.Roots[root] = m.Alloc(1, refs, payloadWords*8)
+		for k := 0; k < payloadWords; k++ {
+			m.WritePayload(m.Roots[root], k, uint64(id)<<8|uint64(k))
+		}
+	}
+	for i := 0; i < hubs+spokes; i++ {
+		newObj(i, i)
+	}
+	for i := 0; i < hubs; i++ {
+		m.Store(m.Roots[i], 0, m.Roots[(i+1)%hubs]) // the cycle
+		m.Store(m.Roots[i], 1, m.Roots[hubs+i])     // back into the spokes
+	}
+	for j := 0; j < spokes; j++ {
+		for s := 0; s < refs; s++ {
+			m.Store(m.Roots[hubs+j], s, m.Roots[(j+s)%hubs])
+		}
+	}
+	for r := 0; r < aliases; r++ {
+		m.Roots[hubs+spokes+r] = m.Roots[r%hubs]
+	}
+
+	om := obj.Model{A: p.Arena()}
+	bt := p.BlockTable()
+	for c := 0; c < collections; c++ {
+		m.RequestGC()
+		to := uint8(p.Collections() % 2)
+		copies := map[uint64]obj.Ref{}
+		inToSpace := func(r obj.Ref) bool {
+			return bt.Kind(r.Block()) == to && bt.State(r.Block()) != immix.StateFree
+		}
+		stack := append([]obj.Ref(nil), m.Roots...)
+		seen := map[obj.Ref]bool{}
+		for len(stack) > 0 {
+			r := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !inToSpace(r) {
+				t.Fatalf("collection %d: edge to %#x outside to-space", c, r)
+			}
+			if seen[r] {
+				continue
+			}
+			seen[r] = true
+			if fw := om.ForwardingWord(r); fw != 0 {
+				t.Fatalf("collection %d: to-space object %#x has forwarding word %#x", c, r, fw)
+			}
+			id := om.A.Load(om.PayloadAddr(r)) >> 8
+			if prev, dup := copies[id]; dup {
+				t.Fatalf("collection %d: object %d copied twice (%#x, %#x)", c, id, prev, r)
+			}
+			copies[id] = r
+			want := payloadWords*(id<<8) + payloadWords*(payloadWords-1)/2
+			if got := om.A.Checksum(om.PayloadAddr(r), payloadWords*8); got != want {
+				t.Fatalf("collection %d: object %d payload checksum %d, want %d", c, id, got, want)
+			}
+			for s := 0; s < refs; s++ {
+				if v := om.LoadSlot(r, s); !v.IsNil() {
+					stack = append(stack, v)
+				}
+			}
+		}
+		if len(copies) != hubs+spokes {
+			t.Fatalf("collection %d: %d objects reachable, want %d", c, len(copies), hubs+spokes)
+		}
 	}
 }

@@ -231,16 +231,24 @@ func (b *base) oom(l obj.Layout) {
 }
 
 // copyWith evacuates ref using the worker's allocator, racing with
-// other workers via the forwarding word. On copy-space exhaustion the
-// caller-supplied onExhausted policy runs while the claim (FwdBusy) is
-// still held; it must leave the forwarding word in a terminal state
-// (abandon or install) before returning the address racers should see.
-func (b *base) copyWith(al *immix.Allocator, ref obj.Ref, onExhausted func(obj.Ref) obj.Ref) obj.Ref {
+// other workers via the forwarding word; won reports whether this call
+// installed the forwarding (so exactly one racer per object sees true,
+// and may scan the copy without a further scan-once guard). On
+// copy-space exhaustion the caller-supplied onExhausted policy runs
+// while the claim (FwdBusy) is still held; it must leave the forwarding
+// word in a terminal state (abandon or install) before returning the
+// address racers should see, and won is false.
+//
+// The copy takes plain destination stores (obj.Model.CopyToPrivate):
+// every allocator passed here leaves UseRecycled unset, so dst lies in
+// a clean block that setSpan zeroed through ZeroPrivate and that no
+// other thread can reach until InstallForwarding publishes it.
+func (b *base) copyWith(al *immix.Allocator, ref obj.Ref, onExhausted func(obj.Ref) obj.Ref) (nv obj.Ref, won bool) {
 	for {
 		fw := b.om.ForwardingWord(ref)
 		switch fw & 3 {
 		case obj.FwdForwarded:
-			return obj.Ref(fw >> 2)
+			return obj.Ref(fw >> 2), false
 		case obj.FwdBusy:
 			continue
 		}
@@ -250,17 +258,17 @@ func (b *base) copyWith(al *immix.Allocator, ref obj.Ref, onExhausted func(obj.R
 		size := b.om.Size(ref)
 		dst, ok := al.Alloc(size)
 		if !ok {
-			return onExhausted(ref)
+			return onExhausted(ref), false
 		}
-		b.om.CopyTo(ref, dst)
+		b.om.CopyToPrivate(ref, dst)
 		b.om.InstallForwarding(ref, dst)
-		return dst
+		return dst, true
 	}
 }
 
 // copyInto is copyWith with the strict-copying policy: on exhaustion
 // the claim is abandoned and Nil returned (the object stays in place).
-func (b *base) copyInto(al *immix.Allocator, ref obj.Ref) obj.Ref {
+func (b *base) copyInto(al *immix.Allocator, ref obj.Ref) (nv obj.Ref, won bool) {
 	return b.copyWith(al, ref, func(r obj.Ref) obj.Ref {
 		b.om.AbandonForwarding(r)
 		return mem.Nil

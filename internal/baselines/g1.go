@@ -531,13 +531,18 @@ func (p *G1) evacuate(w *gcwork.Worker, ref obj.Ref, evacMarks *meta.BitTable) (
 // (so every racing and later reference resolves to the in-place copy —
 // the object can never split) and its region is flagged for in-place
 // promotion at the end of the pause.
+//
+// Unlike SemiSpace, G1 ignores copyWith's won result and keeps its
+// evacMarks scan-once guard: a pinned object has no winning copier, yet
+// must still be scanned exactly once.
 func (p *G1) copyOrPin(al *immix.Allocator, ref obj.Ref) obj.Ref {
-	return p.copyWith(al, ref, func(r obj.Ref) obj.Ref {
+	nv, _ := p.copyWith(al, ref, func(r obj.Ref) obj.Ref {
 		p.om.InstallForwarding(r, r)
 		p.bt.SetFlag(r.Block(), immix.FlagEvacuating)
 		p.evacFailures.Add(1)
 		return r
 	})
+	return nv
 }
 
 // clearSelfForwards resets the self-forwarding pointers installed by

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"sync/atomic"
 	"time"
 
 	"lxr/internal/gcwork"
@@ -161,26 +162,31 @@ func (p *SemiSpace) collect() {
 	ev.PhaseArg(trace.NameRoots, ph, uint64(len(rootSlots)))
 
 	ph = time.Now()
+	var copied atomic.Int64
 	p.pool.Drain(items,
 		func(w *gcwork.Worker) {
 			// NoBudget: copying must not fail while physical space
 			// exists — the from-space frees wholesale right after.
-			w.Scratch = &immix.Allocator{BT: p.bt, Kind: to, NoBudget: true}
+			w.Scratch = &ssCopier{al: immix.Allocator{BT: p.bt, Kind: to, NoBudget: true}}
 		},
 		func(w *gcwork.Worker, item mem.Address) {
-			al := w.Scratch.(*immix.Allocator)
+			c := w.Scratch.(*ssCopier)
 			if item&ssRootTag != 0 {
 				slot := rootSlots[int(item&^ssRootTag)]
-				*slot = p.forward(w, al, *slot, marks)
+				*slot = p.forward(w, c, *slot, marks)
 			} else {
 				v := p.om.A.LoadRef(item)
 				if !v.IsNil() {
-					p.om.A.StoreRef(item, p.forward(w, al, v, marks))
+					p.om.A.StoreRef(item, p.forward(w, c, v, marks))
 				}
 			}
 		},
-		func(w *gcwork.Worker) { w.Scratch.(*immix.Allocator).Flush() })
-	ev.Phase(trace.NameCopy, ph)
+		func(w *gcwork.Worker) {
+			c := w.Scratch.(*ssCopier)
+			c.al.Flush()
+			copied.Add(c.copied)
+		})
+	ev.PhaseArg(trace.NameCopy, ph, uint64(copied.Load()))
 
 	// Free the entire from-space.
 	ph = time.Now()
@@ -197,20 +203,32 @@ func (p *SemiSpace) collect() {
 
 const ssRootTag mem.Address = 1 << 63
 
+// ssCopier is a copy worker's state for one collection: its to-space
+// allocator and how many objects it copied (the copy phase's work
+// count).
+type ssCopier struct {
+	al     immix.Allocator
+	copied int64
+}
+
 // forward copies ref to to-space (or marks a large object), pushing its
-// slots for scanning, and returns its new address.
-func (p *SemiSpace) forward(w *gcwork.Worker, al *immix.Allocator, ref obj.Ref, marks *meta.BitTable) obj.Ref {
+// slots for scanning, and returns its new address. Only the worker whose
+// claim installed the forwarding scans the copy, so each object is
+// scanned once without a mark-table CAS; the mark table serves only the
+// large object space.
+func (p *SemiSpace) forward(w *gcwork.Worker, c *ssCopier, ref obj.Ref, marks *meta.BitTable) obj.Ref {
 	if p.om.IsLarge(ref) {
 		if marks.TrySet(ref) {
 			p.pushSlots(w, ref)
 		}
 		return ref
 	}
-	nv := p.copyInto(al, ref)
+	nv, won := p.copyInto(&c.al, ref)
 	if nv.IsNil() {
 		p.oom(obj.Layout{Size: p.om.Size(ref), NumRefs: p.om.NumRefs(ref)})
 	}
-	if marks.TrySet(nv) { // first copier scans
+	if won {
+		c.copied++
 		p.pushSlots(w, nv)
 	}
 	return nv

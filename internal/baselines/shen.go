@@ -279,7 +279,7 @@ func (p *Shen) resolveOrCopy(ms *shenMut, ref obj.Ref) obj.Ref {
 			runtime.Gosched() // wait for the collector to handle it
 			continue
 		}
-		p.om.CopyTo(ref, dst)
+		p.om.CopyToPrivate(ref, dst) // ms.evac takes clean blocks only, as in copyWith
 		p.marks.Set(dst)
 		p.om.InstallForwarding(ref, dst)
 		return dst
@@ -481,7 +481,7 @@ func (p *Shen) runCycle() {
 			if !p.marks.Get(a) {
 				continue
 			}
-			if nv := p.copyInto(evacAl, a); nv.IsNil() {
+			if nv, _ := p.copyInto(evacAl, a); nv.IsNil() {
 				// Copy reserve exhausted: abort this block's
 				// evacuation; it stays live this cycle.
 				aborted[idx] = true

@@ -79,3 +79,15 @@ func TestStoreFastPathIsGoAllocationFree(t *testing.T) {
 		})
 	}
 }
+
+// The evac/copy row reports one positive per-object sample per requested
+// sample, under the Parallel collector.
+func TestEvacCopyRowSamples(t *testing.T) {
+	r := runEvacCopy(Options{HeapBytes: 64 << 20, Samples: 2})
+	if r.Collector != "Parallel" || r.Bench != "evac/copy" || r.Ops != evacNodes {
+		t.Fatalf("row %s %s with %d ops", r.Collector, r.Bench, r.Ops)
+	}
+	if len(r.SamplesNS) != 2 || r.MinNS <= 0 {
+		t.Fatalf("samples %v", r.SamplesNS)
+	}
+}

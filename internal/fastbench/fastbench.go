@@ -2,7 +2,9 @@
 // ns/allocation (small, medium, large), ns/pointer-store on the barrier
 // fast path, ns/pointer-store on the slow path (the first log of each
 // field per epoch), and ns/line-scan for the Immix recycled-block span
-// walk — measured for LXR and the barrier-bearing baselines.
+// walk — measured for LXR and the barrier-bearing baselines — plus
+// ns/copied-object for the Parallel collector's stop-the-world
+// evacuation.
 //
 // These are the paths the paper's design lives or dies on (§3, Table 7:
 // bump allocation plus a barrier whose fast path is a single metadata
@@ -21,6 +23,7 @@ package fastbench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"lxr/internal/baselines"
@@ -49,9 +52,9 @@ var Collectors = []string{"LXR", "Immix", "Immix+WB", "G1"}
 // the matching untraced rows is the cost of live event recording, while
 // the untraced rows themselves — which carry the tracer's dormant nil
 // check — are what the CI compare gate holds at parity with the
-// pre-tracing baseline.
+// pre-tracing baseline. evac/copy is reported once, under "Parallel".
 var Benches = []string{"alloc/small", "alloc/medium", "alloc/large", "store/fast", "store/slow", "linescan",
-	"alloc/small+trace", "store/fast+trace"}
+	"alloc/small+trace", "store/fast+trace", "evac/copy"}
 
 // Options configures a family run.
 type Options struct {
@@ -127,6 +130,7 @@ func Run(o Options) Report {
 		emit(runStoreFast(o, "LXR", true))
 	}
 	emit(runLineScan(o))
+	emit(runEvacCopy(o))
 	return rep
 }
 
@@ -326,4 +330,47 @@ func runLineScan(o Options) Result {
 				}
 			}
 		})
+}
+
+// evacNodes is the evac/copy graph: a complete binary tree of small
+// objects (two refs + 8 B payload, 48 B each), 3 MB in all — far below
+// the half budget of the default heap, so no collection runs while it
+// is built.
+const evacNodes = 1<<16 - 1
+
+// runEvacCopy measures the stop-the-world copying pause per copied
+// object: each sample builds the same tree on a fresh Parallel heap
+// (untimed) and times one full collection, which copies every node
+// once. Reported ns/op is per copied object, under "Parallel".
+func runEvacCopy(o Options) Result {
+	var v *vm.VM
+	var m *vm.Mutator
+	release := func() {
+		if v != nil {
+			m.Deregister()
+			v.Shutdown()
+		}
+	}
+	defer release()
+	nodes := make([]obj.Ref, evacNodes)
+	return sampleLoop(o, "Parallel", "evac/copy", evacNodes,
+		func() {
+			release()
+			v = vm.New(baselines.NewParallel(o.HeapBytes, 2), 0)
+			m = v.RegisterMutator(1)
+			// Children before parents: node i's children are 2i+1, 2i+2.
+			for i := evacNodes - 1; i >= 0; i-- {
+				n := m.Alloc(0, 2, smallPayload)
+				if c := 2*i + 1; c < evacNodes {
+					m.Store(n, 0, nodes[c])
+					m.Store(n, 1, nodes[c+1])
+				}
+				nodes[i] = n
+			}
+			m.Roots[0] = nodes[0]
+			// Retire the previous sample's arena now, so the Go
+			// collector does not run inside the timed collection.
+			runtime.GC()
+		},
+		func(int) { m.RequestGC() })
 }

@@ -200,7 +200,7 @@ func (a *Arena) ZeroRange(start, end Address) {
 // RC-zero and state checks that tolerate any torn value), so the races
 // are value-benign — but they are still races by the memory model, so
 // race-instrumented builds fall back to word-atomic stores (see
-// zero_race.go) and stay detector-clean by construction. Shared ranges
+// private_race.go) and stay detector-clean by construction. Shared ranges
 // — recycled line spans inside published blocks — must keep using the
 // word-atomic ZeroRange.
 func (a *Arena) ZeroPrivate(start, end Address) {
@@ -210,22 +210,34 @@ func (a *Arena) ZeroPrivate(start, end Address) {
 	a.zeroPrivate(int(start>>WordLog), int(end-start)/WordSize)
 }
 
-// Copy copies n bytes from src to dst. Both must be word aligned. It is
-// used for object evacuation, where both sides can be touched
-// concurrently by other collector workers through word-atomic accesses:
-// a parallel evacuation may update a dirty/remset slot in place while
-// the object containing the slot is being copied, and forwarding-word
-// probes of plausible-but-stale references can land inside a freshly
-// allocated destination. The copy protocol converges either way (the
-// new copy's slots are rescanned and every value resolves through its
-// forwarding word), but the accesses themselves must be word-atomic —
-// a plain memmove against concurrent atomics is a data race.
+// Copy copies n bytes from src to dst. Both must be word aligned. Every
+// word is read and written atomically, so both sides may be touched
+// concurrently by other collector workers: a parallel evacuation may
+// update a dirty/remset slot in place while the object containing the
+// slot is being copied, and forwarding-word probes of plausible-but-stale
+// references can land inside a destination carved from a recycled line
+// span of a published block. LXR's evacuation, whose allocators take such
+// shared spans, copies through here. A destination in a clean block that
+// an allocator holds privately takes CopyPrivate instead.
 func (a *Arena) Copy(dst, src Address, n int) {
 	dw := int(dst >> WordLog)
 	sw := int(src >> WordLog)
 	for i := 0; i < n/WordSize; i++ {
 		atomic.StoreUint64(&a.words[dw+i], atomic.LoadUint64(&a.words[sw+i]))
 	}
+}
+
+// CopyPrivate copies n bytes from src to dst (both word aligned) with
+// atomic loads of the source and plain stores to the destination. It is
+// for destinations under ZeroPrivate's contract: space a thread-local
+// allocator carved from a clean block and has not yet published (the
+// caller publishes the copy afterwards through an atomic store, such as
+// an installed forwarding word, which orders the plain stores before any
+// reader that observes it). The source may still be shared, which is why
+// its words keep atomic loads. Race-instrumented builds fall back to
+// Copy's word-atomic loop (private_race.go).
+func (a *Arena) CopyPrivate(dst, src Address, n int) {
+	a.copyPrivate(dst, src, n)
 }
 
 // Checksum computes a simple additive checksum over [start, start+n).

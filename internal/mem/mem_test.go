@@ -57,26 +57,46 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 }
 
 func TestZeroAndCopy(t *testing.T) {
-	a := mem.NewArena(1 << 20)
-	src := mem.BlockStart(1)
-	dst := mem.BlockStart(2)
-	for i := 0; i < 8; i++ {
-		a.Store(src.Plus(i*8), uint64(i+1))
-	}
-	a.Copy(dst, src, 64)
-	for i := 0; i < 8; i++ {
-		if got := a.Load(dst.Plus(i * 8)); got != uint64(i+1) {
-			t.Fatalf("copy word %d = %d", i, got)
-		}
-	}
-	a.Zero(src, 64)
-	for i := 0; i < 8; i++ {
-		if a.Load(src.Plus(i*8)) != 0 {
-			t.Fatal("zero failed")
-		}
-	}
-	if a.Checksum(dst, 64) != 1+2+3+4+5+6+7+8 {
-		t.Fatal("checksum mismatch")
+	for _, tc := range []struct {
+		name string
+		copy func(a *mem.Arena, dst, src mem.Address, n int)
+	}{
+		{"Copy", (*mem.Arena).Copy},
+		{"CopyPrivate", (*mem.Arena).CopyPrivate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const sentinel = 0x5a5a5a5a
+			a := mem.NewArena(1 << 20)
+			src := mem.BlockStart(1)
+			dst := mem.BlockStart(2).Plus(64)
+			for i := 0; i < 10; i++ {
+				a.Store(src.Plus(i*8), uint64(i+1))
+			}
+			for i := -1; i <= 8; i++ {
+				a.Store(dst.Plus(i*8), sentinel)
+			}
+			tc.copy(a, dst, src, 64)
+			for i := 0; i < 8; i++ {
+				if got := a.Load(dst.Plus(i * 8)); got != uint64(i+1) {
+					t.Fatalf("copy word %d = %d", i, got)
+				}
+			}
+			if a.Load(dst.Plus(-8)) != sentinel || a.Load(dst.Plus(64)) != sentinel {
+				t.Fatal("copy touched a word outside [dst, dst+n)")
+			}
+			a.Zero(src, 64)
+			for i := 0; i < 8; i++ {
+				if a.Load(src.Plus(i*8)) != 0 {
+					t.Fatal("zero failed")
+				}
+			}
+			if a.Load(src.Plus(64)) != 9 {
+				t.Fatal("zero touched a word past n")
+			}
+			if a.Checksum(dst, 64) != 1+2+3+4+5+6+7+8 {
+				t.Fatal("checksum mismatch")
+			}
+		})
 	}
 }
 

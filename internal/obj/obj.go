@@ -245,3 +245,13 @@ func (m Model) CopyTo(ref, dst Ref) {
 	m.A.Copy(dst, ref, m.Size(ref))
 	m.A.Store(dst+mem.WordSize, 0)
 }
+
+// CopyToPrivate is CopyTo for a destination the caller's allocator took
+// from a clean block and has not yet published (mem.Arena.CopyPrivate's
+// contract): the copy and the clearing of its forwarding word use plain
+// stores, which become visible to other threads through the caller's
+// InstallForwarding.
+func (m Model) CopyToPrivate(ref, dst Ref) {
+	m.A.CopyPrivate(dst, ref, m.Size(ref))
+	m.A.ZeroPrivate(dst+mem.WordSize, dst+HeaderBytes)
+}

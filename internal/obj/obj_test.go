@@ -124,22 +124,38 @@ func TestAbandonForwarding(t *testing.T) {
 }
 
 func TestCopyToPreservesContentClearsForwarding(t *testing.T) {
-	m := model()
-	ref := mem.BlockStart(1)
-	dst := mem.BlockStart(2)
-	m.WriteHeader(ref, obj.Layout{NumRefs: 1, Size: obj.SizeFor(1, 8)})
-	m.StoreSlot(ref, 0, 0xabc0)
-	m.A.Store(m.PayloadAddr(ref), 99)
-	m.TryClaimForwarding(ref) // busy state must not be copied
-	m.CopyTo(ref, dst)
-	if m.LoadSlot(dst, 0) != 0xabc0 {
-		t.Fatal("slot not copied")
-	}
-	if m.A.Load(m.PayloadAddr(dst)) != 99 {
-		t.Fatal("payload not copied")
-	}
-	if m.ForwardingWord(dst) != 0 {
-		t.Fatal("copy must start unforwarded")
+	for _, tc := range []struct {
+		name string
+		copy func(m obj.Model, ref, dst obj.Ref)
+	}{
+		{"CopyTo", obj.Model.CopyTo},
+		{"CopyToPrivate", obj.Model.CopyToPrivate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := model()
+			ref := mem.BlockStart(1)
+			dst := mem.BlockStart(2)
+			m.WriteHeader(ref, obj.Layout{NumRefs: 1, Size: obj.SizeFor(1, 8)})
+			m.StoreSlot(ref, 0, 0xabc0)
+			m.A.Store(m.PayloadAddr(ref), 99)
+			m.TryClaimForwarding(ref) // busy state must not be copied
+			tc.copy(m, ref, dst)
+			if m.Size(dst) != obj.SizeFor(1, 8) || m.NumRefs(dst) != 1 {
+				t.Fatal("header not copied")
+			}
+			if m.LoadSlot(dst, 0) != 0xabc0 {
+				t.Fatal("slot not copied")
+			}
+			if m.A.Load(m.PayloadAddr(dst)) != 99 {
+				t.Fatal("payload not copied")
+			}
+			if m.ForwardingWord(dst) != 0 {
+				t.Fatal("copy must start unforwarded")
+			}
+			if m.ForwardingWord(ref) != obj.FwdBusy {
+				t.Fatal("source claim must be left alone")
+			}
+		})
 	}
 }
 
